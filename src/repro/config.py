@@ -119,10 +119,6 @@ class FlorConfig:
         Bound on checkpoints in flight in the spool.  When the queue is
         full, ``submit`` blocks (backpressure) so record-time memory stays
         bounded regardless of checkpoint traffic.
-    spool_mode:
-        ``"thread"`` (default) runs spool workers as threads;
-        ``"process"`` runs the CPU-bound serialize+gzip stage in a process
-        pool, sidestepping the GIL for large checkpoints.
     manifest_batch_size:
         Manifest rows the spool buffers before one batched transactional
         commit.  Larger batches amortize commit overhead; ``flush()``
@@ -239,7 +235,6 @@ class FlorConfig:
     storage_shards: int = DEFAULT_STORAGE_SHARDS
     spool_workers: int = DEFAULT_SPOOL_WORKERS
     spool_queue_size: int = DEFAULT_SPOOL_QUEUE_SIZE
-    spool_mode: str = "thread"
     manifest_batch_size: int = DEFAULT_MANIFEST_BATCH_SIZE
     replay_scheduler: str = DEFAULT_REPLAY_SCHEDULER
     replay_chunk_size: int = DEFAULT_REPLAY_CHUNK_SIZE
@@ -263,7 +258,6 @@ class FlorConfig:
     _VALID_MATERIALIZERS = ("fork", "thread", "ipc_queue", "sequential",
                             "shared_memory", "spool")
     _VALID_BACKENDS = ("local", "memory", "sharded")
-    _VALID_SPOOL_MODES = ("thread", "process")
     _VALID_REPLAY_SCHEDULERS = ("uniform", "static", "dynamic")
     _VALID_QUERY_PLANNERS = ("cost", "replay_all")
     _VALID_CHUNKING = ("off", "fixed", "cdc")
@@ -293,8 +287,6 @@ class FlorConfig:
                            self._VALID_MATERIALIZERS)
         self._check_choice("storage_backend", self.storage_backend,
                            self._VALID_BACKENDS)
-        self._check_choice("spool_mode", self.spool_mode,
-                           self._VALID_SPOOL_MODES)
         self._check_choice("replay_scheduler", self.replay_scheduler,
                            self._VALID_REPLAY_SCHEDULERS)
         self._check_choice("query_planner", self.query_planner,

@@ -142,3 +142,11 @@ class SimulationError(FlorError):
 
 class WorkloadError(FlorError):
     """Raised when a workload name is unknown or a workload is misconfigured."""
+
+
+class WorkerDied(FlorError):
+    """A worker process exited (e.g. was killed) while running a job.
+
+    The message names the job — for replay, its run and iterations — so
+    the failure points at the work that was lost, not just at the pool.
+    """

@@ -426,10 +426,9 @@ def _shared_memory_writer(run_dir: str, compress: bool, work_queue: mp.Queue
 class SpoolMaterializer(Materializer):
     """Materialize through the bounded async spool pipeline.
 
-    The hot path only snapshots and enqueues; a worker pool (threads by
-    default, processes for GIL-free serialization + compression) drains
-    the bounded queue, writes payloads through the store's backend, and
-    commits manifest rows in batches.  ``flush`` is a full barrier: on
+    The hot path only snapshots and enqueues; a pool of worker threads
+    drains the bounded queue, writes payloads through the store's backend,
+    and commits manifest rows in batches.  ``flush`` is a full barrier: on
     return every submitted checkpoint is durable and indexed.
     """
 
@@ -437,12 +436,11 @@ class SpoolMaterializer(Materializer):
 
     def __init__(self, store: CheckpointStore, workers: int = 2,
                  queue_size: int = 64, batch_size: int = 16,
-                 mode: str = "thread", on_complete=None,
-                 on_batch_commit=None):
+                 on_complete=None, on_batch_commit=None):
         super().__init__(store)
         self.spool = AsyncSpool(store, workers=workers,
                                 queue_size=queue_size, batch_size=batch_size,
-                                mode=mode, on_complete=on_complete,
+                                on_complete=on_complete,
                                 on_batch_commit=on_batch_commit)
 
     def submit(self, block_id, execution_index, snapshots):
@@ -496,7 +494,6 @@ def create_materializer(name: str, store: CheckpointStore, config=None,
             kwargs.setdefault("workers", config.spool_workers)
             kwargs.setdefault("queue_size", config.spool_queue_size)
             kwargs.setdefault("batch_size", config.manifest_batch_size)
-            kwargs.setdefault("mode", config.spool_mode)
         elif name == "fork":
             kwargs.setdefault("batch_objects", config.fork_batch_size)
     return factory(store, **kwargs)

@@ -7,37 +7,28 @@ static scheduling workers neither communicate nor coordinate (every worker
 derives the same checkpoint-aligned plan); under dynamic scheduling they
 share only a SQLite-backed chunk queue provisioned here.  On the paper's
 testbed each worker owned one GPU; here each worker is a separate OS
-process.
-
-Fork safety: the parent process may hold a live Flor session (an open
-WAL-mode SQLite connection, background spool worker threads) when this
-module forks its worker pool.  ``run_parallel_replay`` quiesces that state
-first — flushing and closing the parent's store so children do not inherit
-an open connection, and switching to the ``spawn`` start method when an
-async spool is active, since its worker threads do not survive ``fork``.
-Forked children additionally drop the inherited active-session registration
-so their own replay session can activate.
+process on a :class:`~repro.workers.WorkerPool`, which owns the start
+method, fork safety, signal handling and shutdown.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
 import traceback
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..config import FlorConfig
-from ..exceptions import ReplayError
+from ..exceptions import ReplayError, WorkerDied
 from ..modes import InitStrategy, Mode
-from ..record.logger import LogRecord, read_log
+from ..record.logger import LogRecord
 from ..session import Session, get_active_session
 from .. import telemetry
 from ..utils.timing import monotonic
+from ..workers import WorkerPool
 
 __all__ = ["WorkerResult", "ReplayJobSpec", "run_worker",
-           "run_parallel_replay", "run_replay_jobs"]
+           "run_parallel_replay", "run_replay_jobs", "run_replay_job"]
 
 
 @dataclass
@@ -108,50 +99,52 @@ class ReplayJobSpec:
     num_workers: int = 1
 
 
-def _worker_entry(args: tuple) -> dict:
-    """Multiprocessing entry point; returns a picklable summary."""
-    (run_id, instrumented_source, config, pid, num_workers, init_strategy,
-     probed_blocks, replay_queue_path) = args
-    # A forked child inherits the parent's active-session registration (and
-    # a spawned child starts clean either way); drop it so this worker's
-    # replay session can activate.
-    from .. import session as session_module
-    session_module._ACTIVE_SESSION = None
-    # A forked child also inherits the parent's telemetry ring buffer;
-    # clear it so only THIS worker's spans ship back through the summary.
-    telemetry.reset_for_worker()
-    result = run_worker(run_id, instrumented_source, config, pid, num_workers,
-                        InitStrategy(init_strategy), set(probed_blocks),
-                        replay_queue_path=replay_queue_path)
-    return {
-        "pid": result.pid,
-        "wall_seconds": result.wall_seconds,
-        "iterations": result.iterations,
-        "error": result.error,
-        "spans": telemetry.get_tracer().drain(),
-    }
+def _job_entry(call: dict) -> WorkerResult:
+    """Pool entry: ``run_worker(**call)`` plus this worker's spans.
 
-
-def _quiesce_parent_session(start_method: str) -> str:
-    """Make the parent's live Flor session safe to fork around.
-
-    Flushes in-flight materializations and the store so children observe a
-    consistent manifest.  With an async spool active, ``fork`` would copy a
-    process whose spool worker threads no longer exist (fork duplicates
-    only the calling thread) while their queue and locks do — so select
-    ``spawn`` instead.  Otherwise close the parent's store connection; the
-    backend reopens lazily, and children open their own.
+    Log records travel back with the result (their values are
+    JSON-normalized by the log manager) instead of being re-read from
+    per-worker log files, so concurrent jobs of the same run cannot race
+    on a shared log path.
     """
-    session = get_active_session()
-    if session is None:
-        return start_method
-    session.materializer.flush()
-    session.store.flush()
-    if (start_method == "fork"
-            and getattr(session.materializer, "spool", None) is not None):
-        return "spawn"
-    session.store.close()
-    return start_method
+    result = run_worker(**call)
+    result.spans = telemetry.get_tracer().drain()
+    return result
+
+
+def _job_name(call: dict) -> str:
+    iterations = call.get("sample_iterations")
+    if iterations:
+        return (f"replay of run {call['run_id']} iterations "
+                f"{iterations[0]}-{iterations[-1]}")
+    return (f"replay of run {call['run_id']} worker {call['pid']} of "
+            f"{call['num_workers']}")
+
+
+def _collect(pool: WorkerPool, future, call: dict) -> WorkerResult:
+    """A pooled job's result; a dead worker becomes the job's error."""
+    try:
+        return pool.result(future, _job_name(call))
+    except WorkerDied as died:
+        return WorkerResult(pid=call["pid"], wall_seconds=0.0,
+                            error=str(died))
+
+
+def _run_pooled(calls: list[dict], processes: int, dispatch
+                ) -> list[WorkerResult]:
+    """Run ``run_worker(**call)`` per call on a fresh pool, in order."""
+    with WorkerPool(min(processes, len(calls))) as pool:
+        # Look the entry up at call time: instrumentation may rebind it.
+        futures = [pool.submit(_job_entry, call) for call in calls]
+        results = [_collect(pool, future, call)
+                   for future, call in zip(futures, calls)]
+    tracer = telemetry.get_tracer()
+    for result in results:
+        # Worker spans come back through the result channel; re-parent
+        # their roots under the dispatch span so the merged trace stays
+        # one tree.
+        tracer.ingest(result.spans, parent_id=dispatch.span_id)
+    return results
 
 
 def _remove_queue_files(queue_path: str | None) -> None:
@@ -172,12 +165,11 @@ def run_parallel_replay(run_id: str, instrumented_source: str,
                         ) -> list[WorkerResult]:
     """Run ``num_workers`` replay workers and collect their results.
 
-    Workers run as separate processes (``fork`` start method where
-    available and safe, ``spawn`` otherwise) so they are as independent as
-    the paper's per-GPU workers.  Per-worker log records are re-read from
-    the per-worker replay logs so nothing has to be pickled back through
-    the pool.  For dynamic scheduling this driver provisions the shared
-    chunk-queue file that workers pull work from, and removes it afterwards.
+    Workers run as separate processes so they are as independent as the
+    paper's per-GPU workers; a worker that dies reports the loss as its
+    ``WorkerResult.error``.  For dynamic scheduling this driver provisions
+    the shared chunk-queue file that workers pull work from, and removes
+    it afterwards.
     """
     if num_workers < 1:
         raise ReplayError(f"num_workers must be >= 1, got {num_workers}")
@@ -199,85 +191,40 @@ def run_parallel_replay(run_id: str, instrumented_source: str,
         queue_path = str(run_dir
                          / f"replay-queue-{uuid.uuid4().hex[:12]}.sqlite")
 
-    start_method = "fork" if hasattr(os, "fork") else "spawn"
-    start_method = _quiesce_parent_session(start_method)
-    ctx = mp.get_context(start_method)
-    jobs = [(run_id, instrumented_source, config, pid, num_workers,
-             init_strategy.value, sorted(probed), queue_path)
-            for pid in range(num_workers)]
-    tracer = telemetry.get_tracer()
+    calls = [dict(run_id=run_id, instrumented_source=instrumented_source,
+                  config=config, pid=pid, num_workers=num_workers,
+                  init_strategy=init_strategy, probed_blocks=probed,
+                  replay_queue_path=queue_path)
+             for pid in range(num_workers)]
     try:
-        with tracer.span("replay.parallel", run_id=run_id,
-                         workers=num_workers) as dispatch:
-            with ctx.Pool(processes=num_workers) as pool:
-                summaries = pool.map(_worker_entry, jobs)
-            for summary in summaries:
-                # Worker spans come back through the result channel;
-                # re-parent their roots under this dispatch span so the
-                # merged trace stays one tree.
-                tracer.ingest(summary.get("spans") or [],
-                              parent_id=dispatch.span_id)
+        with telemetry.get_tracer().span("replay.parallel", run_id=run_id,
+                                         workers=num_workers) as dispatch:
+            return _run_pooled(calls, num_workers, dispatch)
     finally:
         _remove_queue_files(queue_path)
-
-    run_dir = config.run_dir(run_id)
-    results = []
-    for summary in summaries:
-        pid = summary["pid"]
-        log_path = run_dir / f"replay-p{pid}of{num_workers}.log"
-        results.append(WorkerResult(
-            pid=pid,
-            wall_seconds=summary["wall_seconds"],
-            iterations=summary["iterations"],
-            log_records=read_log(log_path),
-            error=summary["error"],
-            spans=summary.get("spans") or [],
-        ))
-    return results
 
 
 # --------------------------------------------------------------------------- #
 # Batched replay jobs (the hindsight query engine's execution primitive)
 # --------------------------------------------------------------------------- #
-def _job_entry(args: tuple) -> dict:
-    """Pool entry for one :class:`ReplayJobSpec`; returns a picklable summary.
+def _spec_call(spec: ReplayJobSpec, config: FlorConfig) -> dict:
+    return dict(run_id=spec.run_id,
+                instrumented_source=spec.instrumented_source,
+                config=config, pid=spec.pid, num_workers=spec.num_workers,
+                init_strategy=InitStrategy.WEAK,
+                probed_blocks=set(spec.probed_blocks),
+                sample_iterations=list(spec.sample_iterations))
 
-    Log records travel back through the pool as plain tuples (their values
-    are JSON-normalized by the log manager) instead of being re-read from
-    per-worker log files, so concurrent jobs of the same run cannot race on
-    a shared log path.
+
+def run_replay_job(pool: WorkerPool, spec: ReplayJobSpec,
+                   config: FlorConfig) -> WorkerResult:
+    """Run one job on a caller-owned pool (the query daemon's).
+
+    Raises :class:`~repro.exceptions.WorkerDied`, naming the job's run
+    and iterations, when its worker dies mid-job.
     """
-    spec, config = args
-    from .. import session as session_module
-    session_module._ACTIVE_SESSION = None
-    telemetry.reset_for_worker()
-    result = run_worker(spec.run_id, spec.instrumented_source, config,
-                        spec.pid, spec.num_workers, InitStrategy.WEAK,
-                        set(spec.probed_blocks),
-                        sample_iterations=list(spec.sample_iterations))
-    return {
-        "pid": result.pid,
-        "wall_seconds": result.wall_seconds,
-        "iterations": result.iterations,
-        "log_records": [(r.name, r.value, r.iteration, r.sequence)
-                        for r in result.log_records],
-        "error": result.error,
-        "spans": telemetry.get_tracer().drain(),
-    }
-
-
-def _summary_to_result(summary: dict) -> WorkerResult:
-    return WorkerResult(
-        pid=summary["pid"],
-        wall_seconds=summary["wall_seconds"],
-        iterations=summary["iterations"],
-        log_records=[LogRecord(name=name, value=value, iteration=iteration,
-                               sequence=sequence)
-                     for name, value, iteration, sequence
-                     in summary["log_records"]],
-        error=summary["error"],
-        spans=summary.get("spans") or [],
-    )
+    call = _spec_call(spec, config)
+    return pool.result(pool.submit(_job_entry, call), _job_name(call))
 
 
 def run_replay_jobs(jobs: list[ReplayJobSpec], config: FlorConfig,
@@ -300,22 +247,9 @@ def run_replay_jobs(jobs: list[ReplayJobSpec], config: FlorConfig,
     # issued inside a record_session) would reject.  With a session active,
     # even a single job goes through the pool, whose children clear the
     # inherited registration and whose setup quiesces the parent's store.
+    calls = [_spec_call(spec, config) for spec in specs]
     if (processes <= 1 or len(specs) == 1) and get_active_session() is None:
-        return [run_worker(spec.run_id, spec.instrumented_source, config,
-                           spec.pid, spec.num_workers, InitStrategy.WEAK,
-                           set(spec.probed_blocks),
-                           sample_iterations=list(spec.sample_iterations))
-                for spec in specs]
-    start_method = "fork" if hasattr(os, "fork") else "spawn"
-    start_method = _quiesce_parent_session(start_method)
-    ctx = mp.get_context(start_method)
-    tracer = telemetry.get_tracer()
-    with tracer.span("replay.jobs", jobs=len(specs),
-                     processes=processes) as dispatch:
-        with ctx.Pool(processes=max(1, min(processes, len(specs)))) as pool:
-            summaries = pool.map(_job_entry,
-                                 [(spec, config) for spec in specs])
-        for summary in summaries:
-            tracer.ingest(summary.get("spans") or [],
-                          parent_id=dispatch.span_id)
-    return [_summary_to_result(summary) for summary in summaries]
+        return [run_worker(**call) for call in calls]
+    with telemetry.get_tracer().span("replay.jobs", jobs=len(specs),
+                                     processes=processes) as dispatch:
+        return _run_pooled(calls, max(1, processes), dispatch)

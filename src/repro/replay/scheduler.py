@@ -430,7 +430,16 @@ class SqliteChunkQueue:
         self._conn = sqlite3.connect(self.path, timeout=30.0,
                                      isolation_level=None,
                                      check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        for attempt in range(64):
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                # Workers open the fresh file at once; switching it to WAL
+                # needs an exclusive lock and can fail without waiting.
+                if not self._is_lock_contention(exc) or attempt == 63:
+                    raise
+                time.sleep(0.005 * (attempt + 1))
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._execute_transaction(lambda conn: (
             conn.execute(self._SCHEMA),

@@ -8,9 +8,10 @@ refused with ``SHUTTING_DOWN``, and the process exits 0 on a clean drain
 
 The bound address is printed to stdout as the first line (``listening
 <addr>``), so scripts can start the daemon on port 0 and scrape the
-ephemeral port.  ``--trace-out`` writes the daemon's flight-recorder
-spans as a telemetry JSON document on exit — CI uploads it as the
-service-smoke artifact, and ``python -m repro.trace <file>`` renders it.
+ephemeral port.  ``--trace-out`` writes the daemon's flight recorder
+(spans and metrics) as a telemetry document on exit — CI uploads it as
+the service-smoke artifact, and ``python -m repro.trace <file>`` renders
+it.
 
 Examples::
 
@@ -63,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--telemetry", action="store_true",
                         help="turn on the flight recorder for the daemon")
     parser.add_argument("--trace-out", metavar="FILE",
-                        help="write captured telemetry spans to FILE as "
-                             "a JSON document on exit")
+                        help="write the captured telemetry (spans and "
+                             "metrics) to FILE as a JSON document on exit")
     return parser
 
 
@@ -109,10 +110,8 @@ def main(argv: list[str] | None = None) -> int:
 
     drained = service.shutdown(drain_seconds=args.drain_seconds)
     if args.trace_out:
-        spans = telemetry.get_tracer().export()
         Path(args.trace_out).write_text(
-            json.dumps({"version": 1, "spans": spans}),
-            encoding="utf-8")
+            json.dumps(telemetry.current_document()), encoding="utf-8")
     print(f"drained={'clean' if drained else 'timeout'}", flush=True)
     return 0 if drained else 3
 

@@ -10,13 +10,14 @@ A small query's spans therefore wait behind at most one in-flight span
 per busy tenant, never behind a whole large query.
 
 Execution is delegated to a ``runner`` callable so unit tests can drive
-the scheduler with a stub (no subprocesses); the default runner lazily
-builds a persistent ``multiprocessing`` pool and executes
-:func:`repro.replay.parallel._job_entry` — the same entry the in-library
-query path uses — keeping replay semantics identical in and out of the
-service.  Dispatcher threads (one per pool slot) pull tickets and block
-on their summary, so at most ``workers`` replay jobs run concurrently no
-matter how many are queued.
+the scheduler with a stub (no subprocesses); the default runner executes
+each job with :func:`repro.replay.parallel.run_replay_job` — the same
+worker entry the in-library query path uses — on a persistent
+:class:`~repro.workers.WorkerPool`, keeping replay semantics identical in
+and out of the service.  That pool forks its workers in the constructor,
+before any dispatcher thread starts.  Dispatcher threads (one per pool
+slot) pull tickets and block on their result, so at most ``workers``
+replay jobs run concurrently no matter how many are queued.
 
 Every dispatched job lands in a bounded in-memory ledger; the concurrency
 battery asserts dedup ("two identical queries, one set of jobs") and
@@ -26,17 +27,15 @@ fairness against it, and operators can read it off a live daemon.
 from __future__ import annotations
 
 import itertools
-import multiprocessing as mp
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 
 from ..config import FlorConfig
 from ..exceptions import ServiceError
-from ..replay.parallel import (ReplayJobSpec, WorkerResult, _job_entry,
-                               _summary_to_result)
+from ..replay.parallel import ReplayJobSpec, WorkerResult, run_replay_job
 from ..utils.timing import monotonic
+from ..workers import WorkerPool
 
 __all__ = ["JobTicket", "FairReplayPool", "LedgerEntry"]
 
@@ -78,6 +77,9 @@ class FairReplayPool:
         self.config = config
         self.workers = max(1, workers if workers is not None
                            else config.service_workers)
+        # Fork the worker processes now, on the constructing thread,
+        # before any dispatcher thread exists.
+        self._pool = None if runner else WorkerPool(self.workers).start()
         self._runner = runner or self._pool_runner
         self._weights = dict(weights or {})
         #: Per-client consecutive-dispatch credit within one rotation visit.
@@ -91,8 +93,6 @@ class FairReplayPool:
         self._sequence = itertools.count()
         self._closed = False
         self._ledger: list[LedgerEntry] = []
-        self._mp_pool = None
-        self._mp_lock = threading.Lock()
         self._dispatchers = [
             threading.Thread(target=self._dispatch_loop,
                              name=f"repro-service-dispatch-{index}",
@@ -206,26 +206,10 @@ class FairReplayPool:
                 ticket.done.set()
 
     # ------------------------------------------------------------------ #
-    # Default runner: the persistent multiprocessing pool
+    # Default runner: the persistent worker pool
     # ------------------------------------------------------------------ #
     def _pool_runner(self, spec: ReplayJobSpec) -> WorkerResult:
-        pool = self._ensure_mp_pool()
-        summary = pool.apply_async(_job_entry, ((spec, self.config),)).get()
-        return _summary_to_result(summary)
-
-    def _ensure_mp_pool(self):
-        with self._mp_lock:
-            if self._closed:
-                raise ServiceError("replay pool is closed",
-                                   code="SHUTTING_DOWN")
-            if self._mp_pool is None:
-                # The daemon never holds an active Flor session, so fork
-                # is safe where available; workers clear inherited state
-                # at entry (_job_entry) either way.
-                method = "fork" if hasattr(os, "fork") else "spawn"
-                ctx = mp.get_context(method)
-                self._mp_pool = ctx.Pool(processes=self.workers)
-            return self._mp_pool
+        return run_replay_job(self._pool, spec, self.config)
 
     # ------------------------------------------------------------------ #
     # Shutdown
@@ -245,10 +229,13 @@ class FairReplayPool:
                 self._rotation.clear()
             self._work.notify_all()
         deadline = monotonic() + timeout
+        if drain:
+            for thread in self._dispatchers:
+                thread.join(max(0.0, deadline - monotonic()))
+        if self._pool is not None:
+            # Jobs still running past the deadline (or at all, without
+            # drain) lose their workers and fail their tickets.
+            self._pool.close(max(0.0, deadline - monotonic())
+                             if drain else 0.0)
         for thread in self._dispatchers:
             thread.join(max(0.0, deadline - monotonic()))
-        with self._mp_lock:
-            if self._mp_pool is not None:
-                self._mp_pool.terminate()
-                self._mp_pool.join()
-                self._mp_pool = None

@@ -402,7 +402,6 @@ class Session:
             if spool is not None:
                 materializer_meta["spool"] = {
                     "workers": spool.workers,
-                    "mode": spool.mode,
                     "completed": spool.stats.completed,
                     "manifest_commits": spool.stats.manifest_commits,
                     "backpressure_waits": spool.stats.backpressure_waits,

@@ -20,21 +20,20 @@ Entry points:
 * :func:`record_worker` — record one worker's script under its worker run
   id (runs in the calling process; the per-process unit tests and the
   fault-injection battery drive this directly);
-* :func:`run_distributed_record` — the driver: spawn ``world_size``
-  recorder processes against one shared home and collect per-worker
-  results.
+* :func:`run_distributed_record` — the driver: run ``world_size``
+  recorder processes (a :class:`~repro.workers.WorkerPool`) against one
+  shared home and collect per-worker results.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
 import time
 from dataclasses import dataclass, field
 
 from ..config import FlorConfig, get_config
-from ..exceptions import WorkloadError
+from ..exceptions import WorkerDied, WorkloadError
 from ..utils.naming import new_run_id, worker_run_id
+from ..workers import WorkerPool
 from .registry import get_workload
 
 __all__ = ["DistributedWorkerResult", "DistributedRecordResult",
@@ -185,28 +184,10 @@ def record_worker(job_id: str, rank: int, world_size: int,
     )
 
 
-def _worker_entry(args: tuple) -> dict:
-    """Multiprocessing entry point; returns a picklable summary."""
-    (job_id, rank, world_size, workload_name, epochs, seed, config) = args
-    # A forked child inherits the parent's active-session registration;
-    # drop it so this worker's record session can activate.
-    from .. import session as session_module
-    session_module._ACTIVE_SESSION = None
-    result = record_worker(job_id, rank, world_size,
-                           workload_name=workload_name, epochs=epochs,
-                           seed=seed, config=config)
-    return {"rank": result.rank, "run_id": result.run_id,
-            "wall_seconds": result.wall_seconds,
-            "checkpoint_count": result.checkpoint_count,
-            "logged_iterations": result.logged_iterations,
-            "error": result.error}
-
-
 def run_distributed_record(workload_name: str = "cifr", world_size: int = 2,
                            epochs: int | None = None, seed: int = 0,
                            job_name: str | None = None,
-                           config: FlorConfig | None = None,
-                           start_method: str | None = None
+                           config: FlorConfig | None = None
                            ) -> DistributedRecordResult:
     """Record one data-parallel job: ``world_size`` processes, one home.
 
@@ -225,22 +206,21 @@ def run_distributed_record(workload_name: str = "cifr", world_size: int = 2,
     result = DistributedRecordResult(job_id=job_id, world_size=world_size)
     start = time.perf_counter()
 
-    jobs = [(job_id, rank, world_size, workload_name, epochs, seed, config)
+    args = [(job_id, rank, world_size, workload_name, epochs, seed, config)
             for rank in range(world_size)]
     if world_size == 1 or config.storage_backend == "memory":
-        summaries = [_worker_entry(job) for job in jobs]
+        result.workers = [record_worker(*arg) for arg in args]
     else:
-        method = start_method or ("fork" if hasattr(os, "fork") else "spawn")
-        ctx = mp.get_context(method)
-        with ctx.Pool(processes=world_size) as pool:
-            summaries = pool.map(_worker_entry, jobs)
-
-    for summary in summaries:
-        result.workers.append(DistributedWorkerResult(
-            rank=summary["rank"], run_id=summary["run_id"],
-            wall_seconds=summary["wall_seconds"],
-            checkpoint_count=summary["checkpoint_count"],
-            logged_iterations=summary["logged_iterations"],
-            error=summary["error"]))
+        with WorkerPool(world_size) as pool:
+            futures = [pool.submit(record_worker, *arg) for arg in args]
+            for rank, future in enumerate(futures):
+                try:
+                    worker = pool.result(future,
+                                         f"record of rank {rank} of {job_id}")
+                except WorkerDied as died:
+                    worker = DistributedWorkerResult(
+                        rank=rank, run_id=worker_run_id(job_id, rank),
+                        error=str(died))
+                result.workers.append(worker)
     result.wall_seconds = time.perf_counter() - start
     return result

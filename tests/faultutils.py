@@ -20,6 +20,7 @@ survive any crash:
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -32,7 +33,8 @@ __all__ = ["InjectedCrash", "FaultInjector", "crash_calls",
            "assert_manifest_closed", "assert_no_orphans",
            "assert_crash_consistent", "assert_refcounts_exact",
            "start_recorder_process", "start_client_process",
-           "wait_for_file", "kill_process"]
+           "wait_for_file", "kill_process", "child_pids",
+           "catches_signal"]
 
 
 class InjectedCrash(Exception):
@@ -184,13 +186,12 @@ def start_recorder_process(job_id: str, rank: int, world_size: int, *,
     the production pool driver uses — so killing it simulates a worker
     dying mid-record, not a cooperative exception.
     """
-    from repro.workloads.distributed import _worker_entry
+    from repro.workloads.distributed import record_worker
 
     ctx = mp.get_context("fork")
     process = ctx.Process(
-        target=_worker_entry,
-        args=((job_id, rank, world_size, workload_name, epochs, seed,
-               config),),
+        target=record_worker,
+        args=(job_id, rank, world_size, workload_name, epochs, seed, config),
         daemon=True)
     process.start()
     return process
@@ -265,3 +266,33 @@ def kill_process(process: mp.Process, *, join_timeout: float = 30.0) -> None:
     process.kill()
     process.join(timeout=join_timeout)
     assert not process.is_alive(), "killed worker did not exit"
+
+
+# --------------------------------------------------------------------------- #
+# Process-tree inspection (Linux /proc)
+# --------------------------------------------------------------------------- #
+def child_pids(parent: int) -> set[int]:
+    """Live (non-zombie) direct children of ``parent``, read from /proc."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command: state, ppid, ...
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == parent and state != "Z":
+            children.add(int(entry))
+    return children
+
+
+def catches_signal(pid: int, signum: int) -> bool:
+    """Whether ``pid`` has a handler installed for ``signum`` (SigCgt)."""
+    with open(f"/proc/{pid}/status", encoding="utf-8") as handle:
+        for line in handle:
+            if line.startswith("SigCgt:"):
+                return bool(int(line.split()[1], 16) & (1 << (signum - 1)))
+    raise AssertionError(f"/proc/{pid}/status has no SigCgt line")

@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import json
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
 import repro
+from repro import telemetry
 from repro.exceptions import ServiceError
 from faultutils import kill_process, start_client_process, wait_for_file
-from serviceutils import (SlowRunner, probe_for, record_run,
+from serviceutils import (SlowRunner, daemon_env, probe_for, record_run,
                           serve_daemon, start_service, wait_until)
 
 pytestmark = pytest.mark.service
@@ -168,6 +171,15 @@ def test_daemon_sigterm_drains_then_refuses_then_exits_clean(flor_config,
         trace = json.loads(trace_out.read_text(encoding="utf-8"))
         names = {span.get("name") for span in trace["spans"]}
         assert "service.request" in names
+        # It is a full telemetry document: the daemon's metrics survive
+        # its exit, and the trace CLI still renders the file.
+        assert trace["schema"] == telemetry.DOCUMENT_SCHEMA
+        assert trace["metrics"]["counters"]["service.requests"] >= 1
+        rendered = subprocess.run(
+            [sys.executable, "-m", "repro.trace", str(trace_out)],
+            env=daemon_env(), capture_output=True, text=True, timeout=60)
+        assert rendered.returncode == 0, rendered.stderr
+        assert "service.request" in rendered.stdout
     finally:
         if daemon.poll() is None:
             daemon.kill()

@@ -21,7 +21,8 @@ import repro
 from repro.replay.parallel import ReplayJobSpec, WorkerResult
 from repro.service import QueryService
 
-__all__ = ["record_run", "probe_for", "start_service", "serve_daemon",
+__all__ = ["record_run", "probe_for", "start_service", "daemon_env",
+           "serve_daemon",
            "stub_result", "SlowRunner", "wait_until"]
 
 
@@ -80,6 +81,14 @@ def start_service(config, **kwargs):
         service.shutdown(drain_seconds=10.0)
 
 
+def daemon_env() -> dict:
+    """The environment for a ``python -m repro...`` subprocess."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def serve_daemon(home, trace_out) -> subprocess.Popen:
     """Launch a real ``python -m repro.serve`` daemon on an ephemeral port.
 
@@ -87,14 +96,11 @@ def serve_daemon(home, trace_out) -> subprocess.Popen:
     trace file is written on exit (``--telemetry --trace-out``), matching
     what the CI service smoke uploads as an artifact.
     """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
         [sys.executable, "-m", "repro.serve", "--home", str(home),
          "--port", "0", "--workers", "2", "--telemetry",
          "--trace-out", str(trace_out)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=daemon_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
 
 

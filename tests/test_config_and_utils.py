@@ -40,8 +40,6 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match=r"background_materialization must be one of"):
             FlorConfig(background_materialization="plasma9000")
-        with pytest.raises(ConfigError, match=r"spool_mode must be one of"):
-            FlorConfig(spool_mode="fiber")
         with pytest.raises(ConfigError,
                            match=r"storage_backend must be one of"):
             FlorConfig(storage_backend="s3")
