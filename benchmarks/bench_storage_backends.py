@@ -28,7 +28,10 @@ Two sections:
   N epochs under each chunking mode.  The headline metric is physical
   growth per epoch after the first, as a fraction of the first epoch's
   footprint — chunked modes must land *well* under the 1.0x that storing
-  each epoch whole costs, without regressing record wall time.
+  each epoch whole costs, without regressing record wall time.  Every
+  epoch is then restored in order through one store: a count check (not
+  a timing one) holds each restore after the first to decoding only the
+  chunks its predecessor's recipe lacks.
 
 Any previously committed ``BENCH_storage.json`` acts as a regression
 baseline: the delta growth ratios must not drift materially above the
@@ -57,6 +60,7 @@ from repro.config import FlorConfig
 from repro.record.materializer import create_materializer
 from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.serializer import snapshot_value
+from repro.telemetry import get_metrics
 
 RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_storage.json"
 
@@ -251,11 +255,43 @@ def run_delta_comparison(home: Path, smoke: bool = False) -> dict:
             "stored_growth_per_epoch_ratio": round(growth_ratio, 4),
             "record_wall_seconds": round(wall, 4),
         }
+        if mode != "off":
+            store = CheckpointStore(mode_home / "run", chunking=mode)
+            results[mode].update(count_restore_decodes(store, epochs))
+            store.close()
     off_wall = results["off"]["record_wall_seconds"]
     for mode in ("fixed", "cdc"):
         results[mode]["wall_ratio_vs_off"] = round(
             results[mode]["record_wall_seconds"] / max(1e-9, off_wall), 3)
     return results
+
+
+def count_restore_decodes(store: CheckpointStore, epochs: int) -> dict:
+    """Restore every epoch in order through ``store``, counting decodes.
+
+    ``expected`` is, per restore, the number of distinct chunks absent
+    from the previous epoch's recipe (all of them for the first): the
+    store copies the rest from the payload it restored last.
+    """
+    metrics = get_metrics()
+    was_enabled = metrics.enabled
+    metrics.configure(enabled=True)
+    decoded, expected = [], []
+    previous: set[str] = set()
+    try:
+        for epoch in range(epochs):
+            before = metrics.snapshot()["counters"].get(
+                "storage.read_chunks_decoded", 0)
+            store.get("train", epoch)
+            decoded.append(int(metrics.snapshot()["counters"].get(
+                "storage.read_chunks_decoded", 0) - before))
+            recipe = set(store.describe("train", epoch).recipe_digests())
+            expected.append(len(recipe - previous))
+            previous = recipe
+    finally:
+        metrics.configure(enabled=was_enabled)
+    return {"restore_chunks_decoded": decoded,
+            "restore_chunks_expected": expected}
 
 
 def check_delta_regression(delta: dict, baseline: dict | None) -> list[str]:
@@ -380,6 +416,14 @@ def assert_acceptance(results: dict) -> None:
     for mode in ("fixed", "cdc"):
         assert delta[mode]["stored_growth_per_epoch_ratio"] < 0.5, delta
         assert delta[mode]["wall_ratio_vs_off"] < 1.5, delta
+        # Decode once: restoring the epochs in order through one store
+        # decodes only what each epoch's recipe adds to the previous one
+        # (and the workload must share chunks for that to mean reuse).
+        decoded = delta[mode]["restore_chunks_decoded"]
+        print(f"Delta[{mode:5s}]: restore chunk decodes {decoded} "
+              f"(expected {delta[mode]['restore_chunks_expected']})")
+        assert decoded == delta[mode]["restore_chunks_expected"], delta
+        assert sum(decoded[1:]) < decoded[0] * (delta["epochs"] - 1), delta
     assert not results["summary"]["delta_regressions"], (
         results["summary"]["delta_regressions"])
 

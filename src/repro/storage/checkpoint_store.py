@@ -81,6 +81,12 @@ class CheckpointStore:
         self.codec_observer = None
         self.backend: StorageBackend = resolve_backend(
             self.run_dir, backend, num_shards=num_shards, dedup=dedup)
+        #: The last chunked payload ``get`` reassembled, with the
+        #: ``(offset, length)`` span of each chunk digest in it: the
+        #: already-verified chunks the next reassembly copies instead of
+        #: decoding.  One payload at most, replaced on every chunked get.
+        self._last_reassembled: tuple[memoryview, dict] = (
+            memoryview(b""), {})
 
     @classmethod
     def for_config(cls, run_dir: str | Path, config) -> "CheckpointStore":
@@ -364,7 +370,7 @@ class CheckpointStore:
                                execution_index=execution_index) as span:
             record = self.describe(block_id, execution_index, run_id=run_id)
             if record.is_chunked():
-                payload = self._reassemble(record)
+                payload = self._reassemble(record, span)
             else:
                 payload = self.backend.read_payload(str(record.path))
                 # Frame/gzip-magic dispatch; legacy uncompressed payloads
@@ -374,13 +380,24 @@ class CheckpointStore:
             get_metrics().inc("storage.bytes_read", len(payload))
             return deserialize_checkpoint(payload)
 
-    def _reassemble(self, record: CheckpointRecord) -> bytes:
+    def _reassemble(self, record: CheckpointRecord,
+                    span=None) -> memoryview:
         """Join a chunked row's payload back together, verifying each chunk.
 
-        Chunk digests address RAW chunk bytes, so every chunk is verified
-        after decoding and the joined payload is verified against the
-        row's full-payload digest — a missing or corrupted blob surfaces
-        as a :class:`SerializationError` naming the exact chunk.
+        Chunk digests address RAW chunk bytes, so every decoded chunk is
+        verified and the assembled payload is verified against the row's
+        full-payload digest — a missing or corrupted blob surfaces as a
+        :class:`SerializationError` naming the exact chunk.
+
+        Only chunks this store's previous reassembly did not hold (or that
+        appear earlier in the same recipe) are read and decoded; the rest
+        are copied from that already-verified payload.  Consecutive epochs
+        of a delta run share most chunks, so a replay restoring them in
+        turn decodes little more than what changed.  The store keeps one
+        payload — the last one returned — so memory stays one payload
+        above what the caller holds.  The result is a read-only view:
+        deserialized arrays alias it, and nothing ever writes to a
+        returned buffer again.
         """
         objects = self.backend.object_store()
         where = f"{record.block_id}[{record.execution_index}]"
@@ -389,33 +406,66 @@ class CheckpointStore:
                 f"checkpoint {where} is chunked but the backend has no "
                 "object store (recorded with dedup, opened without?)")
         digests = record.recipe_digests()
-        parts: list[bytes] = []
+        held, held_spans = self._last_reassembled
+        payload = bytearray(record.raw_nbytes)
+        view = memoryview(payload)
+        spans: dict[str, tuple[int, int]] = {}
+        offset = 0
+        decoded = 0
         for position, chunk_digest in enumerate(digests):
-            try:
-                blob = objects.get(chunk_digest)
-            except StorageError as exc:
+            if chunk_digest in spans:
+                start, length = spans[chunk_digest]
+                raw = view[start:start + length]
+            elif chunk_digest in held_spans:
+                start, length = held_spans[chunk_digest]
+                raw = held[start:start + length]
+            else:
+                raw = self._decode_chunk(objects, chunk_digest, where,
+                                         f"{position + 1}/{len(digests)}")
+                decoded += 1
+            end = offset + len(raw)
+            if end > len(payload):
                 raise SerializationError(
                     f"checkpoint {where} chunk {position + 1}/{len(digests)} "
-                    f"is missing from the object store: {exc}") from exc
-            try:
-                raw = compression.decompress(blob)
-            except Exception as exc:
-                raise SerializationError(
-                    f"checkpoint {where} chunk {position + 1}/{len(digests)} "
-                    f"({chunk_digest[:12]}…) failed to decode: {exc}"
-                ) from exc
-            if digest_bytes(raw) != chunk_digest:
-                raise SerializationError(
-                    f"checkpoint {where} chunk {position + 1}/{len(digests)} "
-                    f"is corrupt: content does not match digest "
-                    f"{chunk_digest[:12]}…")
-            parts.append(raw)
-        payload = b"".join(parts)
-        if digest_bytes(payload) != record.digest:
+                    f"overruns the manifest size of {len(payload)} bytes")
+            view[offset:end] = raw
+            spans.setdefault(chunk_digest, (offset, end - offset))
+            offset = end
+        if offset != len(payload) or digest_bytes(view) != record.digest:
             raise SerializationError(
                 f"checkpoint {where} reassembled from {len(digests)} chunks "
                 "does not match its manifest digest")
-        return payload
+        result = view.toreadonly()
+        self._last_reassembled = (result, spans)
+        if span is not None:
+            span.set(chunks=len(digests), reused=len(digests) - decoded)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc("storage.read_chunks_decoded", decoded)
+            metrics.inc("storage.read_chunks_reused", len(digests) - decoded)
+        return result
+
+    @staticmethod
+    def _decode_chunk(objects, chunk_digest: str, where: str,
+                      which: str) -> bytes:
+        """Read, decode and verify one chunk blob (``which`` is ``k/n``)."""
+        try:
+            blob = objects.get(chunk_digest)
+        except StorageError as exc:
+            raise SerializationError(
+                f"checkpoint {where} chunk {which} "
+                f"is missing from the object store: {exc}") from exc
+        try:
+            raw = compression.decompress(blob)
+        except Exception as exc:
+            raise SerializationError(
+                f"checkpoint {where} chunk {which} "
+                f"({chunk_digest[:12]}…) failed to decode: {exc}") from exc
+        if digest_bytes(raw) != chunk_digest:
+            raise SerializationError(
+                f"checkpoint {where} chunk {which} is corrupt: content does "
+                f"not match digest {chunk_digest[:12]}…")
+        return raw
 
     def describe(self, block_id: str, execution_index: int,
                  run_id: str = "?") -> CheckpointRecord:
@@ -500,4 +550,5 @@ class CheckpointStore:
 
     def close(self) -> None:
         """Release backend resources (reopens lazily if used again)."""
+        self._last_reassembled = (memoryview(b""), {})
         self.backend.close()

@@ -61,7 +61,7 @@ class Codec:
             return lzma.compress(data, preset=level)
         raise StorageError(f"codec {self.name!r} has no encoder")
 
-    def decode(self, data: bytes) -> bytes:
+    def decode(self, data) -> bytes:
         if self.name == "raw":
             return bytes(data)
         if self.name == "gzip":
@@ -159,7 +159,9 @@ def decompress(data: bytes) -> bytes:
             raise StorageError(
                 f"framed payload with unknown codec id {data[4]}")
         try:
-            return codec.decode(bytes(data[5:]))
+            # A view, not a slice: the codecs read any buffer, so the
+            # framed blob is never copied before decoding.
+            return codec.decode(memoryview(data)[5:])
         except Exception as exc:
             raise StorageError(
                 f"cannot decompress {codec.name} payload: {exc}") from exc

@@ -26,6 +26,7 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.lifecycle import collect_garbage, referenced_digest_counts
 from repro.utils.hashing import digest_bytes
 
@@ -106,6 +107,10 @@ def assert_manifest_closed(store) -> int:
     number of rows verified.
     """
     records = store.records()
+    # A fresh store over the same backend: reassembly reuses a chunk only
+    # once this sweep has read it, so every referenced blob is read from
+    # the object store at least once, whatever ``store`` read before.
+    reader = CheckpointStore(store.run_dir, backend=store.backend)
     for record in records:
         if record.is_chunked():
             # Delta rows have no single payload file; reassembly verifies
@@ -114,7 +119,7 @@ def assert_manifest_closed(store) -> int:
             assert objects is not None, (
                 f"chunked row {record.block_id}[{record.execution_index}] "
                 f"but the backend has no object store")
-            payload = store._reassemble(record)
+            payload = reader._reassemble(record)
             assert digest_bytes(payload) == record.digest, (
                 f"reassembled payload does not match the manifest digest "
                 f"for {record.block_id}[{record.execution_index}]")

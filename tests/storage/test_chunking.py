@@ -19,6 +19,8 @@ Four layers of coverage for the chunked (delta) storage plane:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,164 @@ class TestChunkFailures:
             objects.blob_path(digests[1]).read_bytes())
         with pytest.raises(SerializationError, match=r"chunk 1/\d+ is corrupt"):
             store.get("train", 0)
+
+
+# --------------------------------------------------------------------------- #
+# Restore reuse: a store copies the chunks its previous restore held
+# --------------------------------------------------------------------------- #
+EPOCHS = 5
+
+#: Restore orders over two blocks whose backbones share no chunk, so the
+#: previous restore holds all, some or none of the next one's chunks.
+ORDERS = {
+    "forward": [("train", e) for e in range(EPOCHS)],
+    "reverse": [("train", e) for e in reversed(range(EPOCHS))],
+    "shuffled": [("train", 3), ("eval", 1), ("train", 0), ("train", 4),
+                 ("eval", 0), ("train", 1), ("eval", 2), ("train", 2)],
+    "repeated": [("train", 2), ("train", 2), ("eval", 2), ("eval", 2),
+                 ("train", 2), ("train", 0), ("train", 0)],
+}
+
+
+def record_epochs(home, backend_name):
+    store = open_store(home, backend_name)
+    for epoch in range(EPOCHS):
+        store.put("train", epoch, model_snapshots(float(epoch)))
+        store.put("eval", epoch, model_snapshots(float(epoch),
+                                                 backbone_seed=1))
+    return store
+
+
+def last_payload(store) -> bytes:
+    """The payload the store's latest chunked ``get`` deserialized."""
+    return bytes(store._last_reassembled[0])
+
+
+def changed_position(store, previous, current) -> tuple[int, int]:
+    """Index of ``current``'s first chunk ``previous`` lacks, recipe length."""
+    held = set(store.describe("train", previous).recipe_digests())
+    digests = store.describe("train", current).recipe_digests()
+    position = next(k for k, digest in enumerate(digests)
+                    if digest not in held)
+    return position, len(digests)
+
+
+class TestRestoreReuse:
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_any_restore_order_matches_a_fresh_store(self, home,
+                                                     backend_name, order):
+        record_epochs(home, backend_name).close()
+        store = open_store(home, backend_name)
+        for block_id, epoch in ORDERS[order]:
+            restored = {s.name: s.payload for s in store.get(block_id, epoch)}
+            assert restored["epoch"] == float(epoch)
+            payload = last_payload(store)
+            fresh = open_store(home, backend_name)
+            fresh.get(block_id, epoch)
+            assert payload == last_payload(fresh), (block_id, epoch)
+            fresh.close()
+            assert digest_bytes(payload) == \
+                store.describe(block_id, epoch).digest
+
+    def test_adjacent_epochs_decode_only_new_chunks(self, home,
+                                                    backend_name):
+        store = record_epochs(home, backend_name)
+        decodes = []
+        original = CheckpointStore._decode_chunk
+
+        def counting(objects, chunk_digest, where, which):
+            decodes.append(chunk_digest)
+            return original(objects, chunk_digest, where, which)
+
+        store._decode_chunk = counting
+        previous: set[str] = set()
+        for epoch in range(EPOCHS):
+            recipe = store.describe("train", epoch).recipe_digests()
+            decodes.clear()
+            store.get("train", epoch)
+            assert sorted(decodes) == sorted(set(recipe) - previous)
+            previous = set(recipe)
+
+    def test_deleted_chunk_the_store_did_not_hold_still_fails(
+            self, home, backend_name):
+        store = record_epochs(home, backend_name)
+        store.get("train", 0)
+        position, total = changed_position(store, 0, 1)
+        victim = store.describe("train", 1).recipe_digests()[position]
+        store.backend.object_store().delete([victim])
+        with pytest.raises(SerializationError,
+                           match=rf"chunk {position + 1}/{total} is missing"):
+            store.get("train", 1)
+
+    def test_corrupted_chunk_the_store_did_not_hold_still_fails(self, home):
+        store = record_epochs(home, "local")
+        store.get("train", 0)
+        position, total = changed_position(store, 0, 1)
+        victim = store.describe("train", 1).recipe_digests()[position]
+        blob_path = store.backend.object_store().blob_path(victim)
+        blob = bytearray(blob_path.read_bytes())
+        blob[7] ^= 0xFF
+        blob_path.write_bytes(bytes(blob))
+        with pytest.raises(
+                SerializationError,
+                match=rf"chunk {position + 1}/{total} .*(corrupt|failed to "
+                      rf"decode)"):
+            store.get("train", 1)
+
+    def test_failed_restore_keeps_the_previous_payload(self, home):
+        store = record_epochs(home, "local")
+        store.get("train", 0)
+        held = store._last_reassembled
+        position, _ = changed_position(store, 0, 1)
+        digests = store.describe("train", 1).recipe_digests()
+        objects = store.backend.object_store()
+        swap = digests[0] if position else digests[1]
+        objects.blob_path(digests[position]).write_bytes(
+            objects.blob_path(swap).read_bytes())
+        with pytest.raises(SerializationError, match="is corrupt"):
+            store.get("train", 1)
+        assert store._last_reassembled is held
+
+    def test_whole_payload_digest_is_checked_on_reused_restores(
+            self, home, backend_name):
+        """Chunks copied from the held payload still face the row digest."""
+        store = record_epochs(home, backend_name)
+        store.get("train", 0)
+        record = store.describe("train", 1)
+        store.backend.index(dataclasses.replace(record, digest="0" * 64))
+        with pytest.raises(SerializationError,
+                           match="does not match its manifest digest"):
+            store.get("train", 1)
+
+    def test_restored_arrays_cannot_write_through(self, home, backend_name):
+        store = record_epochs(home, backend_name)
+        first = {s.name: s.payload for s in store.get("train", 0)}
+        backbone = first["backbone"].copy()
+        for array in (first["backbone"], first["head"]):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 42.0
+        assert store._last_reassembled[0].readonly
+        # Later restores reuse epoch 0's chunks without touching the
+        # buffer epoch 0's arrays alias.
+        for epoch in range(1, EPOCHS):
+            store.get("train", epoch)
+        np.testing.assert_array_equal(first["backbone"], backbone)
+        np.testing.assert_array_equal(first["head"],
+                                      np.zeros(256, dtype=np.float32))
+
+    def test_store_holds_one_payloads_chunk_spans(self, home, backend_name):
+        store = record_epochs(home, backend_name)
+        for block_id, epoch in ORDERS["shuffled"]:
+            store.get(block_id, epoch)
+            record = store.describe(block_id, epoch)
+            held, spans = store._last_reassembled
+            assert len(held) == record.raw_nbytes
+            assert set(spans) == set(record.recipe_digests())
+            for digest, (offset, length) in spans.items():
+                assert digest_bytes(held[offset:offset + length]) == digest
+        store.close()
+        assert store._last_reassembled[1] == {}
 
 
 # --------------------------------------------------------------------------- #

@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 import textwrap
 
+import numpy as np
 import pytest
 
 import repro
 from repro.config import FlorConfig
 from repro.record.recorder import record_source
+from repro.storage.checkpoint_store import CheckpointStore
+from repro.storage.serializer import snapshot_value
+from repro.telemetry import current_document, get_metrics, get_tracer
 from repro.trace import main
 
 SCRIPT = textwrap.dedent("""
@@ -59,7 +63,6 @@ class TestTraceCLI:
             'flor.log("loss", float(state.sum()))\n'
             '    flor.log("norm", float(np.linalg.norm(state)))')
         repro.query(values="norm", runs=traced_run, source=probe)
-        from repro.telemetry import current_document
         document_file = tmp_path / "document.json"
         document_file.write_text(json.dumps(current_document()),
                                  encoding="utf-8")
@@ -75,6 +78,49 @@ class TestTraceCLI:
         main([traced_run, "--format", "chrome", "--output", str(out_file)])
         assert main([str(out_file), "--limit", "5"]) == 0
         assert "record.session" in capsys.readouterr().out
+
+    def test_restore_chunk_reuse_shows_in_spans_and_counters(
+            self, enabled_telemetry, tmp_path, capsys):
+        """``storage.get`` spans and counters tell decoded from reused."""
+        frozen = np.random.default_rng(0).standard_normal(4096)
+        store = CheckpointStore(tmp_path / "run", chunking="fixed",
+                                chunk_nbytes=1024)
+        epochs = 3
+        for epoch in range(epochs):
+            store.put("train", epoch,
+                      [snapshot_value("frozen", frozen),
+                       snapshot_value("epoch", epoch)])
+        recipes = [store.describe("train", epoch).recipe_digests()
+                   for epoch in range(epochs)]
+        enabled_telemetry.reset()
+        get_metrics().reset()
+        for epoch in range(epochs):
+            store.get("train", epoch)
+        store.close()
+
+        gets = [span for span in get_tracer().spans()
+                if span.name == "storage.get"]
+        assert [span.attrs["chunks"] for span in gets] == \
+            [len(recipe) for recipe in recipes]
+        # Every chunk the previous restore held is copied, not decoded.
+        expected_reused = [0] + [
+            sum(digest in set(previous) for digest in recipe)
+            for previous, recipe in zip(recipes, recipes[1:])]
+        assert [span.attrs["reused"] for span in gets] == expected_reused
+        assert all(reused > 0 for reused in expected_reused[1:])
+        counters = get_metrics().snapshot()["counters"]
+        assert counters["storage.read_chunks_reused"] == sum(expected_reused)
+        assert counters["storage.read_chunks_decoded"] == \
+            sum(map(len, recipes)) - sum(expected_reused)
+
+        document_file = tmp_path / "document.json"
+        document_file.write_text(json.dumps(current_document()),
+                                 encoding="utf-8")
+        assert main([str(document_file)]) == 0
+        get_lines = [line for line in capsys.readouterr().out.splitlines()
+                     if "storage.get" in line]
+        assert len(get_lines) == epochs
+        assert f"reused={expected_reused[-1]}" in get_lines[-1]
 
     def test_unknown_target_exits_2(self, flor_config, capsys):
         assert main(["definitely-not-a-run"]) == 2
